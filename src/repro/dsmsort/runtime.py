@@ -1542,8 +1542,7 @@ class DsmSortJob:
                 nbytes = int(st.run.shape[0]) * rs
                 # Atomic mark: the copy is in flight before any yield, so a
                 # concurrent sweep cannot schedule the same repair twice.
-                st.targets.add(dest)
-                st.repair_inflight.add(dest)
+                mgr.begin_repair(st, dest)
                 yield from plat.asus[src].disk.read(nbytes)
                 st = mgr.sets.get(key)
                 if st is None:
@@ -1551,8 +1550,7 @@ class DsmSortJob:
                 if dest in self._dead_asus or src not in st.copies:
                     # Source or destination died during the read: unwind the
                     # in-flight mark and let the next cycle re-plan.
-                    st.targets.discard(dest)
-                    st.repair_inflight.discard(dest)
+                    mgr.cancel_repair(st, dest)
                     continue
                 mgr.note_read(src, nbytes)
                 self._post_from(

@@ -24,6 +24,7 @@ with (:func:`repro.core.routing.pick_least_loaded`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 from ..core.routing import pick_least_loaded
@@ -138,6 +139,9 @@ class ReplicationManager:
         self.sets: dict[tuple, ReplicaSet] = {}
         self._dead: set[int] = set()
         self._seq = 0
+        #: number of under-replicated sets, kept exact on every mutation so
+        #: the gauge update after each write does not rescan every set
+        self._n_under = 0
         #: membership view fencing replica writes (None = fail-stop trust)
         self.view = None
         labels = job_labels or {}
@@ -198,18 +202,38 @@ class ReplicationManager:
         n = int(st.run.shape[0])
         return n if now_counted else -n
 
-    def _under_replicated(self, st: ReplicaSet) -> bool:
-        want = min(self.config.r, self.n_asus - len(self._dead))
-        return len(st.copies | st.targets) < want
+    def _want(self) -> int:
+        """Copies every set should have: ``r``, capped by the alive fleet."""
+        return min(self.config.r, self.n_asus - len(self._dead))
+
+    def _is_under(self, st: ReplicaSet) -> bool:
+        return len(st.copies | st.targets) < self._want()
+
+    @contextmanager
+    def _tracking(self, st: ReplicaSet):
+        """Keep ``_n_under`` exact across a change to one set's holders."""
+        was_under = self._is_under(st)
+        yield
+        self._n_under += self._is_under(st) - was_under
+
+    def _under_replicated_sets(self):
+        want = self._want()
+        return (
+            key for key, st in self.sets.items() if len(st.copies | st.targets) < want
+        )
 
     def _refresh_under_gauge(self) -> None:
-        n = sum(1 for st in self.sets.values() if self._under_replicated(st))
-        self._g_under.set(float(n))
+        self._g_under.set(float(self._n_under))
+
+    def _rescan_under(self) -> None:
+        """Recount after a change to many sets or to the wanted copy count."""
+        self._n_under = sum(1 for _ in self._under_replicated_sets())
+        self._refresh_under_gauge()
 
     # -- write path -----------------------------------------------------------
     def plan_targets(self, shard_key: int) -> list[int]:
         """Ordered alive replica set for a new run (pure placement read)."""
-        want = min(self.config.r, self.n_asus - len(self._dead))
+        want = self._want()
         ranked = self.placement.replicas(shard_key, self.n_asus)
         out = [d for d in ranked if d not in self._dead]
         return out[: max(1, want)]
@@ -222,7 +246,7 @@ class ReplicationManager:
         current dead set and re-planned if every one of them died meanwhile.
         """
         key = (0, src_host, self._seq)
-        shard_key = (src_host << 24) | self._seq
+        shard_key = _shard_key(key)
         self._seq += 1
         if targets is None:
             targets = self.plan_targets(shard_key)
@@ -232,6 +256,7 @@ class ReplicationManager:
                 targets = self.plan_targets(shard_key)
         st = ReplicaSet(key, src_host, bucket, run, rid, targets)
         self.sets[key] = st
+        self._n_under += self._is_under(st)
         self._refresh_under_gauge()
         return key, list(targets)
 
@@ -248,7 +273,7 @@ class ReplicationManager:
         st.journal_dest = dest
         self.sets[key] = st
         self._gv_copies.add(dest, 1.0)
-        self._refresh_under_gauge()
+        self._rescan_under()
 
     def copy_durable(self, key, dest) -> tuple[int, bool]:
         """A replica write became durable at ``dest``.
@@ -275,8 +300,9 @@ class ReplicationManager:
             return 0, False
         if dest in st.copies:
             return 0, False
-        st.targets.discard(dest)
-        st.copies.add(dest)
+        with self._tracking(st):
+            st.targets.discard(dest)
+            st.copies.add(dest)
         self._gv_copies.add(dest, 1.0)
         if dest in st.repair_inflight:
             st.repair_inflight.discard(dest)
@@ -351,7 +377,7 @@ class ReplicationManager:
                     f"promote {promoted} run(s) off asu{d} in place",
                     cat="fault",
                 )
-        self._refresh_under_gauge()
+        self._rescan_under()
         return delta
 
     def lose_copies_on(self, d: int, now: float = 0.0) -> int:
@@ -383,7 +409,7 @@ class ReplicationManager:
                 now, "replica", f"lose {dropped} cop(ies) on asu{d}",
                 cat="fault",
             )
-        self._refresh_under_gauge()
+        self._rescan_under()
         return delta
 
     def on_asu_readmit(self, d: int) -> None:
@@ -395,7 +421,7 @@ class ReplicationManager:
         digest, and anything that doesn't verify stays discarded.
         """
         self._dead.discard(d)
-        self._refresh_under_gauge()
+        self._rescan_under()
 
     def readopt_copy(self, key, d: int, digest: str) -> tuple[int, bool]:
         """Offer a copy a returning ASU kept through its expulsion.
@@ -417,8 +443,9 @@ class ReplicationManager:
             return 0, False
         if d in st.copies:
             return 0, False
-        st.targets.discard(d)
-        st.copies.add(d)
+        with self._tracking(st):
+            st.targets.discard(d)
+            st.copies.add(d)
         self._gv_copies.add(d, 1.0)
         self.n_readopted_copies += 1
         delta = self._recount(st)
@@ -451,7 +478,7 @@ class ReplicationManager:
         self.pending_reemits.pop(h, None)
         if any_run and self.manifest is not None:
             self.manifest.log_purge_host(h)
-        self._refresh_under_gauge()
+        self._rescan_under()
         return delta
 
     def retarget(self, key) -> list[int]:
@@ -459,7 +486,7 @@ class ReplicationManager:
         st = self.sets.get(key)
         if st is None:
             return []
-        want = min(self.config.r, self.n_asus - len(self._dead))
+        want = self._want()
         missing = max(0, want - len(st.copies | st.targets))
         if not missing:
             return []
@@ -468,14 +495,27 @@ class ReplicationManager:
             for d in self.placement.replicas(_shard_key(key), self.n_asus)
             if d not in self._dead and d not in st.copies and d not in st.targets
         ][:missing]
-        st.targets.update(fresh)
+        with self._tracking(st):
+            st.targets.update(fresh)
         self.n_retargeted_copies += len(fresh)
         self._c_retargeted.inc(len(fresh))
         return fresh
 
     # -- anti-entropy ---------------------------------------------------------
+    def begin_repair(self, st: ReplicaSet, dest: int) -> None:
+        """Mark a repair copy to ``dest`` in flight (before any yield)."""
+        with self._tracking(st):
+            st.targets.add(dest)
+            st.repair_inflight.add(dest)
+
+    def cancel_repair(self, st: ReplicaSet, dest: int) -> None:
+        """Unwind an in-flight repair whose source or destination died."""
+        with self._tracking(st):
+            st.targets.discard(dest)
+            st.repair_inflight.discard(dest)
+
     def under_replicated_keys(self) -> list[tuple]:
-        return [k for k in sorted(self.sets) if self._under_replicated(self.sets[k])]
+        return sorted(self._under_replicated_sets())
 
     def next_repair_target(self, key) -> Optional[int]:
         """Next alive placement candidate not already holding/receiving."""

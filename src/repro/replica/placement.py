@@ -27,6 +27,8 @@ properties per rank.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ReplicaPlacement", "SEGMENT"]
@@ -37,6 +39,9 @@ __all__ = ["ReplicaPlacement", "SEGMENT"]
 SEGMENT = 1 << 16
 
 _MASK = (1 << 64) - 1
+#: multiplier spreading the shard id over the draw input (``k`` is added)
+_SHARD_MULT = 0x2545F4914F6CDD1D
+_SEGMENT_U64 = np.uint64(SEGMENT)
 
 
 def _splitmix64(x: int) -> int:
@@ -45,6 +50,21 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_splitmix64` of a uint64 array, in place.
+
+    uint64 array arithmetic wraps modulo 2**64, which is exactly the
+    ``& _MASK`` of the scalar version.
+    """
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 class ReplicaPlacement:
@@ -72,31 +92,48 @@ class ReplicaPlacement:
         # under nearby seeds would be almost identical.  A mixed constant
         # perturbs the high bits, so distinct seeds give unrelated streams.
         self._seed_mix = _splitmix64(self.seed)
-        self._space = self.capacity * SEGMENT
-
-    def _draw(self, shard: int, k: int) -> int:
-        h = _splitmix64(
-            (((shard & _MASK) * 0x2545F4914F6CDD1D + k) & _MASK)
-            ^ self._seed_mix
-        )
-        return h % self._space
+        self._seed_u64 = np.uint64(self._seed_mix)
+        self._space_u64 = np.uint64(self.capacity * SEGMENT)
+        self._limit_u64 = np.uint64(self.n_asus * SEGMENT)
+        # First block of draws in replicas() when it must find ``need``
+        # ASUs: the expected draw count capacity * sum_{i<need} 1/(N - i),
+        # rounded up to a power of two, at least 64.
+        self._first_block = [64]
+        expect = 0.0
+        for i in range(self.n_asus):
+            expect += self.capacity / (self.n_asus - i)
+            self._first_block.append(max(64, 1 << (math.ceil(expect) - 1).bit_length()))
 
     def replicas(self, shard: int, r: int) -> tuple[int, ...]:
-        """Ordered replica set of ``min(r, n_asus)`` distinct ASU indices."""
+        """Ordered replica set of ``min(r, n_asus)`` distinct ASU indices.
+
+        Walks the draw sequence ``k = 0, 1, ...`` in NumPy blocks (each twice
+        the previous one), keeping each ASU the first time one of its draws
+        lands in the assigned region, until ``r`` distinct ASUs are found.
+        """
         if r < 1:
             raise ValueError(f"need r >= 1, got {r}")
         r = min(r, self.n_asus)
-        limit = self.n_asus * SEGMENT
+        # Ranking the whole fleet: the last ASU is the one not yet chosen,
+        # wherever its first draw falls, so it need not be drawn.
+        need = r - 1 if r == self.n_asus else r
+        base = np.uint64(((int(shard) & _MASK) * _SHARD_MULT) & _MASK)
         chosen: list[int] = []
-        k = 0
-        while len(chosen) < r:
-            x = self._draw(shard, k)
-            k += 1
-            if x >= limit:
-                continue
-            d = x // SEGMENT
-            if d not in chosen:
-                chosen.append(d)
+        k, block = 0, self._first_block[need]
+        while len(chosen) < need:
+            x = np.arange(k, k + block, dtype=np.uint64)
+            x += base
+            x ^= self._seed_u64
+            x = _splitmix64_array(x) % self._space_u64
+            for d in (x[x < self._limit_u64] // _SEGMENT_U64).tolist():
+                if d not in chosen:
+                    chosen.append(d)
+                    if len(chosen) == need:
+                        break
+            k += block
+            block *= 2
+        if need < r:
+            chosen.append(self.n_asus * (self.n_asus - 1) // 2 - sum(chosen))
         return tuple(chosen)
 
     def primary(self, shard: int) -> int:
@@ -108,24 +145,16 @@ class ReplicaPlacement:
         shards = np.asarray(shards, dtype=np.uint64)
         out = np.full(shards.shape, -1, dtype=np.int64)
         pending = np.arange(shards.size, dtype=np.int64)
-        limit = np.uint64(self.n_asus * SEGMENT)
-        seed = np.uint64(self._seed_mix)
-        mult = np.uint64(0x2545F4914F6CDD1D)
         k = 0
-        with np.errstate(over="ignore"):
-            while pending.size:
-                x = shards[pending] * mult + np.uint64(k)
-                x ^= seed
-                # splitmix64, elementwise
-                x = x + np.uint64(0x9E3779B97F4A7C15)
-                x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-                x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-                x = x ^ (x >> np.uint64(31))
-                x = x % np.uint64(self._space)
-                hit = x < limit
-                out[pending[hit]] = (x[hit] // np.uint64(SEGMENT)).astype(np.int64)
-                pending = pending[~hit]
-                k += 1
+        while pending.size:
+            x = shards[pending] * np.uint64(_SHARD_MULT)
+            x += np.uint64(k)
+            x ^= self._seed_u64
+            x = _splitmix64_array(x) % self._space_u64
+            hit = x < self._limit_u64
+            out[pending[hit]] = (x[hit] // _SEGMENT_U64).astype(np.int64)
+            pending = pending[~hit]
+            k += 1
         return out
 
     def __repr__(self) -> str:

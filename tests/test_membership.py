@@ -497,6 +497,22 @@ class TestEndToEndPartition:
         ref = sort_records(concat_records(job.asu_data, job.params.schema))
         assert np.array_equal(job.collected_output(), ref)
 
+    def test_under_replicated_count_through_readmission(
+        self, partition_t0, monkeypatch
+    ):
+        # Expulsion, re-admission and digest re-adoption keep the manager's
+        # under-replicated count equal to a full rescan at every update.
+        from tests.test_replication import check_under_count
+
+        t0 = partition_t0
+        checks = check_under_count(monkeypatch)
+        plan = FaultPlan([partition(0.6 * t0, [1], duration=0.3 * t0)])
+        job = make_partition_job(plan, t0)
+        res = job.run_pass1(deadline=20.0 * t0)
+        assert res.completed and res.n_readmitted >= 1
+        assert job._replica_mgr.n_readopted_copies > 0
+        assert max(checks) > 0
+
     def test_zombie_out_cut_is_fenced(self, partition_t0):
         # Asymmetric "out": the minority hears the world but cannot ack —
         # the classic zombie.  Its writes must be rejected with stale epochs

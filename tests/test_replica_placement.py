@@ -13,9 +13,57 @@ The two properties the replication layer depends on:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.replica import SEGMENT, ReplicaPlacement
-from repro.replica.placement import _splitmix64
+from repro.replica.manager import _shard_key
+from repro.replica.placement import _MASK, _splitmix64
+
+
+def scalar_replicas(p: ReplicaPlacement, shard: int, r: int):
+    """Reference oracle: the one-draw-at-a-time ASURA loop.
+
+    Returns ``(ranking, draws)`` where ``draws`` is how many ``k`` values
+    were consumed to find the ``min(r, n_asus)``-th distinct ASU.
+    """
+    r = min(r, p.n_asus)
+    seed_mix = _splitmix64(p.seed)
+    space, limit = p.capacity * SEGMENT, p.n_asus * SEGMENT
+    chosen: list[int] = []
+    k = 0
+    while len(chosen) < r:
+        x = _splitmix64(
+            (((shard & _MASK) * 0x2545F4914F6CDD1D + k) & _MASK) ^ seed_mix
+        ) % space
+        k += 1
+        if x >= limit:
+            continue
+        d = x // SEGMENT
+        if d not in chosen:
+            chosen.append(d)
+    return tuple(chosen), k
+
+
+#: shard ids: negative, beyond 64 bits, and the manager's key layout
+_shards = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=1 << 64, max_value=1 << 96),
+    st.builds(
+        lambda kind, host, seq: kind << 48 | host << 24 | seq,
+        st.integers(0, 1),
+        st.integers(0, (1 << 24) - 1),
+        st.integers(0, (1 << 24) - 1),
+    ),
+)
+
+
+@st.composite
+def _placements(draw):
+    n_asus = draw(st.integers(1, 64))
+    capacity = draw(st.integers(n_asus, 2048))
+    seed = draw(st.integers(-(1 << 64), 1 << 64))
+    r = draw(st.integers(1, n_asus + 2))
+    return ReplicaPlacement(n_asus, capacity=capacity, seed=seed), r
 
 
 class TestDraws:
@@ -73,6 +121,85 @@ class TestDraws:
         # Known-answer test for the underlying mix (splitmix64 of 0 and 1).
         assert _splitmix64(0) == 0xE220A8397B1DCDAF
         assert _splitmix64(1) == 0x910A2DEC89025CC1
+
+
+class TestBlockedDraws:
+    """``replicas`` evaluates draws in NumPy blocks; the result must be the
+    scalar loop's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_placements(), _shards)
+    def test_matches_scalar_oracle(self, placement, shard):
+        p, r = placement
+        assert p.replicas(shard, r) == scalar_replicas(p, shard, r)[0]
+
+    # Rankings at the chaos-soak configuration (4 ASUs, capacity 1024,
+    # seed 0, full r=4 ranking) for manager keys: emitted runs (0, host,
+    # seq) and manifest-restored runs (1, rid, 0).
+    GOLDEN = {
+        (0, 0, 0): (1, 2, 3, 0),
+        (0, 0, 1): (3, 1, 0, 2),
+        (0, 0, 2): (2, 1, 3, 0),
+        (0, 1, 0): (2, 1, 3, 0),
+        (0, 1, 1): (1, 3, 0, 2),
+        (0, 1, 2): (0, 3, 2, 1),
+        (0, 2, 0): (2, 0, 1, 3),
+        (0, 2, 1): (1, 2, 0, 3),
+        (0, 2, 2): (3, 0, 1, 2),
+        (0, 3, 0): (1, 3, 2, 0),
+        (0, 3, 1): (3, 2, 1, 0),
+        (0, 3, 2): (3, 0, 1, 2),
+        (1, 0, 0): (1, 3, 0, 2),
+        (1, 1, 0): (3, 2, 1, 0),
+        (1, 7, 0): (3, 0, 1, 2),
+        (1, 42, 0): (3, 0, 2, 1),
+    }
+
+    def test_golden_manager_rankings(self):
+        p = ReplicaPlacement(4, capacity=1024, seed=0)
+        got = {key: p.replicas(_shard_key(key), 4) for key in self.GOLDEN}
+        assert got == self.GOLDEN
+
+    @pytest.mark.parametrize(
+        "shard, r, draws",
+        # ``draws`` = draws the scalar loop takes.  Blocks end after draw
+        # 256, 768, ... for r=1; 1024, 3072, ... for r=2; 2048, ... for r=3.
+        [
+            (40, 1, 256),  # last draw of the first block
+            (17, 1, 257),  # first draw of the second block
+            (981, 2, 1024),
+            (719, 2, 1025),
+            (2384, 2, 3661),  # third block
+            (8502, 3, 2048),
+            (1747, 3, 2049),
+            # Full rankings: the scalar loop draws until the last ASU shows
+            # up; the blocked one stops at the N-1-th and appends the rest.
+            (36, 4, 1536),
+            (_shard_key((0, 0, 14)), 4, 5811),
+        ],
+    )
+    def test_ranking_continues_across_blocks(self, shard, r, draws):
+        p = ReplicaPlacement(4, capacity=1024, seed=0)
+        # First block per number of ASUs to find; later blocks double.
+        assert p._first_block == [64, 256, 1024, 2048, 4096]
+        want, used = scalar_replicas(p, shard, r)
+        assert used == draws
+        assert p.replicas(shard, r) == want
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_every_draw_hits_when_fleet_fills_capacity(self, n):
+        p = ReplicaPlacement(n, capacity=n, seed=4)
+        for shard in range(40):
+            assert scalar_replicas(p, shard, 1)[1] == 1  # draw 0 always hits
+            for r in range(1, n + 2):
+                assert p.replicas(shard, r) == scalar_replicas(p, shard, r)[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, (1 << 24) - 1), st.integers(0, (1 << 24) - 1))
+    def test_emit_key_layout(self, host, seq):
+        # ReplicationManager.register_emit derives its placement key through
+        # _shard_key; the layout is host in bits 24..47, seq in bits 0..23.
+        assert _shard_key((0, host, seq)) == (host << 24) | seq
 
 
 class TestUniformity:

@@ -180,6 +180,8 @@ class TestMediaLossRepair:
         # Every repaired set's copies avoid the dead ASU.
         for st in mgr.sets.values():
             assert 1 not in st.copies
+        # The incrementally kept under-replicated count matches a rescan.
+        assert mgr._n_under == len(mgr.under_replicated_keys())
 
     def test_underreplication_gauge(self):
         from repro.metrics import MetricsRegistry
@@ -199,6 +201,42 @@ class TestMediaLossRepair:
         assert mgr.on_asu_crash(targets[0]) == 0
         assert mgr.n_promoted_runs == 1
         assert mgr._g_under.value == 1.0
+
+
+def check_under_count(monkeypatch) -> list:
+    """Assert the kept under-replicated count equals a rescan at every
+    gauge update; returns the list the checks are appended to."""
+    checks = []
+    update = ReplicationManager._refresh_under_gauge
+
+    def checked(mgr):
+        assert mgr._n_under == sum(1 for _ in mgr._under_replicated_sets())
+        checks.append(mgr._n_under)
+        update(mgr)
+
+    monkeypatch.setattr(ReplicationManager, "_refresh_under_gauge", checked)
+    return checks
+
+
+class TestUnderReplicatedCount:
+    @pytest.mark.parametrize(
+        "faults, under_seen",
+        [
+            (lambda t0: [crash_asu(0.8 * t0, 1)], True),
+            (lambda t0: [lose_replica(0.6 * t0, 2), crash_asu(0.9 * t0, 0)], True),
+            # a host crash drops its sets instead of leaving them short
+            (lambda t0: [crash_host(0.5 * t0, 1)], False),
+        ],
+        ids=["crash_asu", "lose_then_crash", "crash_host"],
+    )
+    def test_count_matches_rescan(self, monkeypatch, reference, faults, under_seen):
+        t0, ref_out = reference
+        checks = check_under_count(monkeypatch)
+        cfg = ReplicationConfig(r=2, repair_interval=0.002)
+        _job, r1, out = sort_once(FaultPlan(faults(t0)), cfg)
+        assert r1.completed and out.tobytes() == ref_out.tobytes()
+        assert len(checks) > 100
+        assert (max(checks) > 0) == under_seen
 
 
 class TestCheckpointIntegration:
