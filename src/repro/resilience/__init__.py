@@ -14,8 +14,8 @@ package restores end-to-end reliability on top of the lossy substrate:
   routing layer consults to steer work away from flapping links;
 - :mod:`~repro.resilience.io` — retry wrapper for transient
   :class:`~repro.emulator.disk.DiskFault` read errors;
-- :mod:`~repro.resilience.chaos` — the seeded chaos soak harness behind
-  ``python -m repro chaos``.
+- :mod:`~repro.resilience.chaos` — the soak harness (scenario registry, one
+  runner) behind ``python -m repro chaos/recover/replicate/partition``.
 
 See ``docs/RESILIENCE.md`` for the protocol and its invariants.
 """

@@ -90,7 +90,7 @@ class TestRunChaos:
         report = run_chaos(
             seeds=[0], apps=("dsmsort",), n_records=N_SMALL, progress=None
         )
-        nc = report.negative_control
+        nc = report.sweep_checks["negative_control"]
         assert nc is not None and nc["ok"]
         assert not nc["completed"] and nc["lost_records"] > 0
         assert nc["n_durable"] + nc["lost_records"] == nc["n_total"]
@@ -109,8 +109,8 @@ class TestRunChaos:
         )
         doc = json.loads(report.to_json())
         assert doc["schema_version"] == report.schema_version
-        assert doc["apps"] == ["filterscan"]
-        assert doc["seeds"] == [0]
+        assert doc["scenarios"] == ["filterscan"]
+        assert doc["source"] == {"seeded": [0]}
         assert len(doc["cases"]) == 1
         assert doc["cases"][0]["invariants"]["exact_multiset"] is True
 
@@ -138,10 +138,10 @@ class TestChaosCli:
         ])
         assert rc == 0
         stdout = capsys.readouterr().out
-        assert "PASS" in stdout and "negative control" in stdout
+        assert "PASS" in stdout and "negative_control" in stdout
         doc = json.loads(out.read_text())
         assert {c["app"] for c in doc["cases"]} == {"dsmsort", "filterscan"}
-        assert doc["negative_control"]["ok"] is True
+        assert doc["sweep_checks"]["negative_control"]["ok"] is True
 
     def test_cli_exits_nonzero_on_violation(self, capsys, tmp_path):
         out = tmp_path / "chaos.json"

@@ -80,13 +80,13 @@ class TestRecoverCli:
         rc = main(["replicate", "--n", "11", "--seeds", "1", "--out", str(out)])
         assert rc == 0
         stdout = capsys.readouterr().out
-        assert "ASU kill sweep" in stdout and "PASS" in stdout
+        assert "replicate soak (grid)" in stdout and "PASS" in stdout
         doc = json.loads(out.read_text())
         assert doc["ok"] is True
         # 3 r-values x 4 ASUs x 1 kill instant
         assert len(doc["cases"]) == 12
-        assert all(c["byte_identical"] for c in doc["cases"])
-        replicated = [c for c in doc["cases"] if c["r"] >= 2]
+        assert all(c["invariants"]["byte_identical"] for c in doc["cases"])
+        replicated = [c for c in doc["cases"] if c["params"]["r"] >= 2]
         assert replicated
         assert all(c["n_reemitted_runs"] == 0 for c in replicated)
         assert all(c["n_replayed_frags"] == 0 for c in replicated)
@@ -98,18 +98,75 @@ class TestRecoverCli:
         rc = main(["recover", "--n", "12", "--seeds", "2", "--out", str(out)])
         assert rc == 0
         stdout = capsys.readouterr().out
-        assert "coordinator kill sweep" in stdout and "PASS" in stdout
+        assert "recovery soak (grid)" in stdout and "PASS" in stdout
         doc = json.loads(out.read_text())
         assert doc["ok"] is True and len(doc["cases"]) == 2
-        assert all(c["byte_identical"] for c in doc["cases"])
+        assert all(c["invariants"]["byte_identical"] for c in doc["cases"])
         assert all(c["n_attempts"] == 2 for c in doc["cases"])
 
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_partition_grid_all_cases_clean(self, capsys, tmp_path, seed):
+        # The grid's cases run with the workload seed that produced the
+        # reference digest, so every seed (not just 0) is byte-identical.
+        import json
+
+        out = tmp_path / "partition.json"
+        rc = main([
+            "partition", "--n", "12", "--seed", str(seed), "--out", str(out),
+        ])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert len(doc["cases"]) == 36
+        assert all(
+            c["invariants"]["byte_identical_no_split_brain"]
+            for c in doc["cases"]
+        )
+        assert all(c["ok"] for c in doc["cases"])
+        assert doc["sweep_checks"]["fencing_exercised"]["ok"] is True
+        assert rc == 0 and doc["ok"] is True
+
+    def test_raising_case_is_a_violation_not_an_abort(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.dsmsort.runtime import DsmSortJob
+
+        verify = DsmSortJob.verify
+
+        def exploding_verify(job):
+            if len(job.faults):  # the fault-free reference still verifies
+                raise RuntimeError("verify exploded")
+            return verify(job)
+
+        monkeypatch.setattr(DsmSortJob, "verify", exploding_verify)
+        out = tmp_path / "replicate.json"
+        rc = main([
+            "replicate", "--n", "11", "--seeds", "1", "--workers", "1",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is False
+        assert len(doc["cases"]) == 12  # every case ran and was recorded
+        assert not any(c["ok"] for c in doc["cases"])
+        assert len(doc["violations"]) == 12
+        assert all(
+            v.endswith("raised: RuntimeError: verify exploded")
+            for v in doc["violations"]
+        )
+        assert all(
+            c["raised_at"].endswith("in exploding_verify") for c in doc["cases"]
+        )
 
 class TestChaosCli:
     def test_list_apps_names_every_registered_app(self, capsys):
         assert main(["chaos", "--list-apps"]) == 0
         out = capsys.readouterr().out
-        for app in ("dsmsort", "filterscan", "partition", "scheduler"):
+        for app in ("dsmsort", "filterscan", "partition", "scheduler",
+                    "recovery", "replicate"):
             assert app in out
         # Each line carries a one-line summary, not just the name.
         lines = [l for l in out.splitlines() if l.strip()]
