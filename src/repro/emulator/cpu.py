@@ -15,6 +15,7 @@ transformations are genuine.
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Any, Callable, Optional
 
 try:
@@ -22,15 +23,29 @@ try:
 except ImportError:  # pragma: no cover - charge_batch degrades to lists
     np = None
 
-from ..sim import BusyTracker, Resource, Simulator
-from ..sim.core import Timeout
+from ..sim import BusyTracker, Event, Simulator, Timeout
 from .params import SystemParams, TimingMode
 
 __all__ = ["Cpu"]
 
 
 class Cpu:
-    """A single-core processor with a clock rate and FIFO scheduling."""
+    """A single-core processor with a clock rate and FIFO scheduling.
+
+    The core is a ``_held`` flag plus a FIFO of grant events, one per queued
+    segment.  A segment that finds the core free while its process runs as
+    the last event at this instant (``sim.at_tail()``) takes it with no
+    event at all: a grant would be processed immediately next, with nothing
+    in between.  Anywhere else in the batch a free core posts one grant, so
+    the segment takes its turn behind the events already scheduled now.  A
+    busy core queues a grant, and each release hands the core to the head
+    waiter.
+
+    Interrupt contract: a process interrupted while queued for the core, or
+    after its grant was posted but before it ran, gives its grant back; one
+    interrupted mid-segment is accounted busy up to the interrupt instant and
+    releases the core.
+    """
 
     def __init__(
         self,
@@ -45,7 +60,10 @@ class Cpu:
         self.clock_hz = clock_hz
         self.params = params
         self.name = name
-        self._core = Resource(sim, capacity=1, name=name)
+        #: True while a segment owns the core (granted, running or holding)
+        self._held = False
+        #: grant events of segments queued for the core, FIFO
+        self._waiters: deque[Event] = deque()
         self.busy = BusyTracker(sim, name=name, cat="cpu")
         #: total cycles charged (for load accounting)
         self.cycles_charged = 0.0
@@ -125,10 +143,22 @@ class Cpu:
         if cycles is None and fn is None:
             raise ValueError("execute() needs cycles and/or fn")
 
-        core = self._core
-        req = core.request_now()
-        if req.callbacks is not None:
-            yield req
+        sim = self.sim
+        grant = None
+        if self._held:
+            grant = Event(sim)
+            self._waiters.append(grant)
+        else:
+            self._held = True
+            if not sim.at_tail():
+                grant = Event(sim)
+                grant.succeed()
+        if grant is not None:
+            try:
+                yield grant
+            except BaseException:
+                self._give_back(grant)
+                raise
         try:
             result = None
             charge = float(cycles) if cycles is not None else 0.0
@@ -140,7 +170,7 @@ class Cpu:
                     charge = wall * self.params.measured_reference_hz
                 else:
                     result = fn(*args)
-            dt = float(charge) / (self.clock_hz * self.speed_factor)
+            dt = charge / (self.clock_hz * self.speed_factor)
             self.cycles_charged += charge
             self.n_segments += 1
             if self._m_cycles is not None:
@@ -148,11 +178,35 @@ class Cpu:
             if dt > 0:
                 busy = self.busy
                 busy.begin(label)
-                yield Timeout(self.sim, dt)
+                try:
+                    yield Timeout(sim, dt)
+                except BaseException:
+                    # Interrupted mid-segment: busy up to this instant (a
+                    # fail-stop may already have closed the interval).
+                    busy.end_if_busy()
+                    raise
                 busy.end()
             return result
         finally:
-            core.release(req)
+            self._release()
+
+    def _release(self) -> None:
+        """Hand the core to the head waiter, or mark it free."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False
+
+    def _give_back(self, grant: Event) -> None:
+        """Undo a wait for the core abandoned by an interrupt.
+
+        An untriggered grant is still queued and just leaves the queue; a
+        triggered one already owns the core, which passes on.
+        """
+        if not grant.triggered:
+            self._waiters.remove(grant)
+        else:
+            self._release()
 
     def utilization(self, t_end: Optional[float] = None) -> float:
         return self.busy.utilization(t_end)

@@ -19,7 +19,7 @@ try:
 except ImportError:  # pragma: no cover - transfer_time_batch degrades to lists
     np = None
 
-from ..sim import Simulator, Store
+from ..sim import Event, Simulator, Store, Timeout
 
 __all__ = ["Link", "Network", "Message"]
 
@@ -363,9 +363,7 @@ class Network:
                 copy.corrupted = msg.corrupted
                 copy.deliver_at = deliver_at
                 copy.inbox = msg.inbox
-                self.sim.schedule_callback(
-                    lambda m=copy: self._deliver(m), delay=deliver_at - self.sim.now
-                )
+                self._schedule_delivery(copy, deliver_at)
         msg.deliver_at = deliver_at
         tracer = self.sim.tracer
         if tracer is not None:
@@ -382,8 +380,12 @@ class Network:
                 msg.tag or "msg",
                 cat="net",
             )
-        self.sim.schedule_callback(
-            lambda m=msg: self._deliver(m), delay=deliver_at - self.sim.now
+        self._schedule_delivery(msg, deliver_at)
+
+    def _schedule_delivery(self, msg: Message, deliver_at: float) -> None:
+        """Post one event at ``deliver_at`` that carries ``msg`` to :meth:`_deliver`."""
+        Timeout(self.sim, deliver_at - self.sim.now, value=msg).callbacks.append(
+            self._deliver
         )
 
     def _defer_for_downtime(self, src: Hashable, dst: Hashable, deliver_at: float) -> float:
@@ -409,8 +411,9 @@ class Network:
             self._m_bytes.inc(float(msg.nbytes))
             self._m_msgs.inc()
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, event: Event) -> None:
         """Complete a delivery, or capture it if the destination is dead."""
+        msg: Message = event._value
         if msg.dst in self.failed:
             self.dead_letters.append(msg)
             self.n_dropped += 1

@@ -119,10 +119,7 @@ class Node:
     def compute(self, cycles: Optional[float] = None, fn=None, args=(),
                 label: Optional[str] = None):
         """Process generator: run an execution segment on this node's CPU."""
-        result = yield from self.cpu.execute(
-            cycles=cycles, fn=fn, args=args, label=label
-        )
-        return result
+        return self.cpu.execute(cycles=cycles, fn=fn, args=args, label=label)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.node_id}>"

@@ -124,10 +124,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise SimError(f"negative timeout delay {delay}")
-        super().__init__(sim, name)
-        self._ok = True
+        # Slots set directly (no Event.__init__ round trip): one Timeout is
+        # posted per CPU segment and disk/link wait.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._post(self, delay=delay)
+        self._ok = True
+        self.name = name
+        sim._post(self, delay)
 
 
 class _CompositeEvent(Event):

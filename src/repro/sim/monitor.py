@@ -51,9 +51,11 @@ class BusyTracker:
         if self._busy_since is None:
             raise RuntimeError(f"{self.name}: end() while not busy")
         start = self._busy_since
-        self.intervals.add(start, self.sim.now)
+        now = self.sim.now
+        self.intervals.add(start, now)
         self._busy_since = None
-        self._trace(start, self.sim.now, self._busy_label)
+        if self.sim.tracer is not None:
+            self._trace(start, now, self._busy_label)
         self._busy_label = None
 
     def add_span(self, duration: float, label: str | None = None) -> None:

@@ -66,33 +66,6 @@ class Resource:
             self.queue.append(req)
         return req
 
-    def request_now(self) -> ResourceRequest:
-        """Like :meth:`request`, but an immediate grant skips the event queue
-        when that is provably order-preserving.
-
-        The grant event exists only to give the requester its FIFO turn among
-        the events already scheduled at this instant.  When the requester is
-        running as the *last* event of the current batch (``sim.at_tail()``)
-        the grant would be processed immediately next with nothing in
-        between, so it is returned already *processed* (``callbacks is
-        None``) and the caller proceeds synchronously — schedules are
-        byte-identical by construction, one queue round-trip cheaper.  In any
-        other situation this is exactly :meth:`request`.
-        """
-        if len(self.users) < self.capacity:
-            req = ResourceRequest(self)
-            self.users.append(req)
-            if self.sim.at_tail():
-                req._ok = True
-                req._value = None
-                req.callbacks = None
-            else:
-                req.succeed()
-            return req
-        req = ResourceRequest(self)
-        self.queue.append(req)
-        return req
-
     def release(self, req: ResourceRequest) -> None:
         try:
             self.users.remove(req)

@@ -7,8 +7,10 @@ two main entry points twice with identical inputs and require exact equality,
 not approximate.
 """
 
-from repro.bench.fig9 import run_figure9
-from repro.core import DSMConfig
+import pytest
+
+from repro.bench.fig9 import BASELINE_ALPHA, FIG9_GAMMA, fig9_params, run_figure9
+from repro.core import ConfigSolver, DSMConfig
 from repro.dsmsort import DsmSortJob
 from repro.emulator.params import SystemParams
 from repro.faults import FaultPlan, crash_asu, crash_host
@@ -112,3 +114,34 @@ class TestDeterminism:
             return dump
 
         assert one() == one()
+
+
+class TestFig9CounterPin:
+    """Exact deterministic counters of three Figure-9 cells at n=2^14.
+
+    Wall-clock is noisy; these counts are not.  A change that claims to keep
+    every schedule (a faster kernel or CPU path) must leave all four equal.
+    A deliberate schedule change re-records them and says why.
+    """
+
+    @pytest.mark.parametrize(
+        "n_asus, alpha, active, makespan, n_events, n_segments, n_runs",
+        [
+            (16, 256, True, "0.03596193404165825", 98716, 65664, 16384),
+            (16, BASELINE_ALPHA, False, "0.04518924212500107", 16763, 8304, 4120),
+            (4, 1, True, "0.04833821333333336", 829, 336, 64),
+        ],
+    )
+    def test_counters_pinned(
+        self, n_asus, alpha, active, makespan, n_events, n_segments, n_runs
+    ):
+        params = fig9_params(n_asus)
+        cfg = ConfigSolver(params, gamma=FIG9_GAMMA).config_for_alpha(1 << 14, alpha)
+        job = DsmSortJob(params, cfg, policy="static", workload="uniform",
+                         active=active, seed=42)
+        res = job.run_pass1()
+        plat = job.platform
+        assert repr(res.makespan) == makespan
+        assert plat.sim.n_events_processed == n_events
+        assert sum(n.cpu.n_segments for n in plat.nodes) == n_segments
+        assert res.n_runs == n_runs

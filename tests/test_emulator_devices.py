@@ -111,6 +111,85 @@ class TestCpu:
             Cpu(sim, clock_hz=0.0, params=params)
 
 
+class TestCpuInterrupts:
+    """An interrupted segment gives the core back; later segments still run."""
+
+    MS = 1e-3
+
+    def _queued_waiter_interrupted(self, sim, params, interrupt_at):
+        cpu = Cpu(sim, clock_hz=1000.0, params=params)  # 1 cycle = 1 ms
+        ends = {}
+
+        def segment(tag, start=0.0):
+            if start:
+                yield sim.timeout(start)
+            yield from cpu.execute(cycles=1.0)
+            ends[tag] = sim.now
+
+        sim.process(segment("holder"))
+        victim = sim.process(segment("victim"))
+
+        def interrupter():
+            yield sim.timeout(interrupt_at)
+            victim.interrupt("killed")
+
+        sim.process(interrupter())
+        sim.process(segment("late", start=5 * self.MS))
+        sim.run()
+        return cpu, ends
+
+    def test_waiter_interrupted_in_queue_releases_its_place(self, sim, params):
+        cpu, ends = self._queued_waiter_interrupted(sim, params, 0.1 * self.MS)
+        assert ends["holder"] == pytest.approx(1 * self.MS)
+        assert "victim" not in ends
+        assert ends["late"] == pytest.approx(6 * self.MS)
+        assert cpu.n_segments == 2
+
+    def test_waiter_interrupted_after_grant_posted_gives_core_back(self, sim, params):
+        # The holder's release at 1 ms posts the victim's grant; the
+        # interrupt lands at the same instant, before that grant is
+        # processed, so the victim owns a core it never uses.
+        cpu, ends = self._queued_waiter_interrupted(sim, params, 1 * self.MS)
+        assert ends["holder"] == pytest.approx(1 * self.MS)
+        assert "victim" not in ends
+        assert ends["late"] == pytest.approx(6 * self.MS)
+        assert cpu.n_segments == 2
+
+    def test_interrupt_mid_segment_closes_busy_interval(self):
+        from repro.emulator import ActivePlatform
+
+        plat = ActivePlatform(SystemParams(n_hosts=1, n_asus=1))
+        sim = plat.sim
+        host = plat.hosts[0]
+        cycles_1ms = host.cpu.clock_hz * self.MS
+        done = []
+
+        def worker():
+            yield from host.compute(cycles=cycles_1ms)
+
+        victim = sim.process(worker())
+
+        def interrupter():
+            yield sim.timeout(0.4 * self.MS)
+            victim.interrupt("killed")
+
+        def later():
+            yield sim.timeout(2 * self.MS)
+            done.append(host.cpu.utilization())
+            yield from host.compute(cycles=cycles_1ms)
+            done.append(sim.now)
+
+        sim.process(interrupter())
+        sim.process(later())
+        sim.run()
+        assert host.alive
+        # Busy only up to the interrupt, then idle until the next segment.
+        assert done[0] == pytest.approx(0.4 / 2)
+        assert done[1] == pytest.approx(3 * self.MS)
+        assert host.cpu.utilization() == pytest.approx(1.4 / 3)
+        assert host.cpu.busy.total_busy == pytest.approx(1.4 * self.MS)
+
+
 class TestDisk:
     def test_read_takes_bytes_over_rate(self, sim):
         disk = Disk(sim, rate=100.0)
